@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -119,15 +120,16 @@ func experiments() []experiment {
 		{"PAR", "parallel scans: segmented heap fan-out vs serial", runPAR},
 		{"PIPE", "wire v2 ingest: serial vs pipelined vs batched", runPIPE},
 		{"CACHE", "plan cache: cold vs AST-cached vs bound-plan-cached hot query", runCACHE},
-		{"VEC", "vectorized execution: scalar vs batch vs batch+compiled expressions", runVEC},
+		{"VEC", "vectorized execution: scalar vs batch vs batch+compiled expressions vs session defaults", runVEC},
 		{"WAL", "durability: fsync per commit vs group commit vs no fsync", runWAL},
 	}
 }
 
 // runVEC measures the same scan-heavy queries through the Volcano tier and
 // the vectorized tier (interpreted and compiled expressions), all serial so
-// the comparison isolates execution style, and writes BENCH_VEC.json so the
-// execution-engine trajectory is recorded across PRs.
+// the comparison isolates execution style, plus an untouched default
+// session, and writes BENCH_VEC.json so the execution-engine trajectory is
+// recorded across PRs.
 func runVEC() error {
 	cfg := workload.VecBenchConfig{Rows: *vecRows, Seed: 7, Iters: *vecIters}
 	cat, err := workload.VecBenchCatalog(cfg)
@@ -142,23 +144,36 @@ func runVEC() error {
 		s.SetCompiledExprs(compiled)
 		return s
 	}
-	report, err := workload.RunVecBench(cfg,
-		mkSession(false, false), mkSession(true, false), mkSession(true, true))
+	// The default mode touches nothing but the clock: parallel degree
+	// GOMAXPROCS, vectorized, compiled — what a user actually gets.
+	dflt := qql.NewSession(cat)
+	dflt.SetNow(workload.Epoch)
+	report, err := workload.RunVecBench(cfg, workload.VecSessions{
+		Scalar: mkSession(false, false), Vectorized: mkSession(true, false),
+		Compiled: mkSession(true, true), Default: dflt,
+		Plan: func(sess workload.Querier, q string) (string, error) {
+			s := sess.(*qql.Session)
+			if _, err := s.Exec("EXPLAIN " + q); err != nil {
+				return "", err
+			}
+			return s.LastExecInfo().PlanShape, nil
+		}})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d-row customer table, no indexes; serial, batch size %d, %d iterations per query per mode, %d core(s)\n",
-		report.Rows, report.BatchSize, report.Iters, report.Cores)
-	fmt.Printf("%-24s %-10s %-12s %-12s %-12s %-9s %s\n",
-		"case", "rows", "scalar p50", "vec p50", "vec+comp", "speedup", "clones s/v/c")
+	fmt.Printf("%d-row customer table, no indexes; batch size %d, %d iterations per query per mode, %d core(s), default degree %d\n",
+		report.Rows, report.BatchSize, report.Iters, report.Cores, runtime.GOMAXPROCS(0))
+	fmt.Printf("%-24s %-10s %-12s %-12s %-12s %-12s %-9s %s\n",
+		"case", "rows", "scalar p50", "vec p50", "vec+comp", "default", "dflt/comp", "clones s/v/c/d")
 	for _, c := range report.Cases {
-		fmt.Printf("%-24s %-10d %-12s %-12s %-12s %-9s %d/%d/%d\n",
+		fmt.Printf("%-24s %-10d %-12s %-12s %-12s %-12s %-9s %d/%d/%d/%d\n",
 			c.Name, c.Rows,
 			time.Duration(c.Scalar.P50*1000).String(),
 			time.Duration(c.Vectorized.P50*1000).String(),
 			time.Duration(c.Compiled.P50*1000).String(),
-			fmt.Sprintf("%.2fx", c.SpeedupCompiled),
-			c.Scalar.ClonesPerQuery, c.Vectorized.ClonesPerQuery, c.Compiled.ClonesPerQuery)
+			time.Duration(c.Default.P50*1000).String(),
+			fmt.Sprintf("%.2fx", c.SpeedupDefault),
+			c.Scalar.ClonesPerQuery, c.Vectorized.ClonesPerQuery, c.Compiled.ClonesPerQuery, c.Default.ClonesPerQuery)
 	}
 	if *vecOut != "" {
 		raw, err := json.MarshalIndent(report, "", "  ")

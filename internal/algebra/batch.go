@@ -17,9 +17,9 @@ import (
 // scans the runs alias the heap's immutable per-segment column storage, so
 // a scan→select→project pipeline touches only the columns the query names
 // and never materializes a row. The two tiers produce byte-identical
-// output; the planner picks per plan shape. ToBatch/FromBatch adapt
-// between them, so unported operators (sorts, distinct, set ops) keep
-// working unchanged on either side of a batch pipeline.
+// output; the planner picks per plan shape. FromBatch adapts a batch
+// pipeline back into rows, so unported operators (sorts, distinct, set
+// ops) keep working unchanged above it. Parallel scans live in morsel.go.
 
 // DefaultBatchSize is the rows-per-batch the vectorized tier uses unless a
 // caller asks otherwise: large enough to amortize per-batch dispatch to
@@ -98,6 +98,26 @@ func (v *ColVec) release() {
 	v.reset()
 }
 
+// window returns slots [lo, hi) of the vector. An empty vector (a column
+// the scan did not materialize) stays empty, and absent metadata runs stay
+// absent.
+func (v *ColVec) window(lo, hi int) ColVec {
+	if len(v.Vals) == 0 {
+		return ColVec{}
+	}
+	w := ColVec{Vals: v.Vals[lo:hi]}
+	if len(v.Tags) > 0 {
+		w.Tags = v.Tags[lo:hi]
+	}
+	if len(v.Srcs) > 0 {
+		w.Srcs = v.Srcs[lo:hi]
+	}
+	if len(v.Meta) > 0 {
+		w.Meta = v.Meta[lo:hi]
+	}
+	return w
+}
+
 // Batch is one unit of vectorized data flow: n row slots of column
 // vectors plus an optional selection vector listing the live slots in
 // order. Vectors may alias producer-owned storage (segment column runs, an
@@ -118,8 +138,8 @@ type Batch struct {
 	sel  []int32
 
 	// colBuf and selBuf are the batch's owned backing storage, reused
-	// across refills; producers that materialize columns (ToBatch,
-	// computed projections, the join) fill colBuf, filters fill selBuf.
+	// across refills; producers that materialize columns (computed
+	// projections, the join) fill colBuf, filters fill selBuf.
 	// scratch is the reusable row for scalar expression evaluation over
 	// column slots (scratchRowAt).
 	colBuf  []ColVec
@@ -307,6 +327,106 @@ func (p *SegPrune) skip(st storage.ColStats) bool {
 	return false
 }
 
+// scanColumns returns the column list a scan must read — the requested
+// columns plus any prune column the caller did not request, since a
+// prune reads its column's statistics — and, per prune, the position of
+// its column in that list.
+func scanColumns(cols []int, prunes []SegPrune) (need, prAt []int) {
+	need = append([]int(nil), cols...)
+	pos := make(map[int]int, len(need))
+	for i, c := range need {
+		pos[c] = i
+	}
+	prAt = make([]int, len(prunes))
+	for i, p := range prunes {
+		at, ok := pos[p.Col]
+		if !ok {
+			at = len(need)
+			need = append(need, p.Col)
+			pos[p.Col] = at
+		}
+		prAt[i] = at
+	}
+	return need, prAt
+}
+
+// segPruned reports whether some prune conjunct refutes the loaded
+// segment by its min/max statistics.
+func segPruned(prunes []SegPrune, prAt []int, cs *storage.ColSeg) bool {
+	for i := range prunes {
+		if prunes[i].skip(cs.Cols[prAt[i]].Stats) {
+			return true
+		}
+	}
+	return false
+}
+
+// segVecs points full-width column vectors at a loaded segment's runs:
+// column cols[i] gets run i, every other column stays empty. vecs is
+// reused when it already has the schema's width.
+func segVecs(cs *storage.ColSeg, cols []int, vecs []ColVec, width int) []ColVec {
+	if len(vecs) != width {
+		vecs = make([]ColVec, width)
+	} else {
+		clear(vecs)
+	}
+	for i, c := range cols {
+		r := &cs.Cols[i]
+		vecs[c] = ColVec{Vals: r.Vals, Tags: r.Tags, Srcs: r.Srcs, Meta: r.Meta}
+	}
+	return vecs
+}
+
+// segWindows deals one loaded segment out as batches of at most size
+// slots: windows [0, size), [size, 2·size), ... of the segment's first n
+// slots, each with the live slots of sel (ascending; nil when every slot
+// is live) rebased into the consumer batch's own selection buffer. A
+// window with no live slot is skipped. Delivered vectors alias vecs'
+// storage through the reusable hdrs headers.
+type segWindows struct {
+	vecs   []ColVec
+	n      int
+	sel    []int32
+	pos    int
+	selPos int
+	hdrs   []ColVec
+}
+
+func (w *segWindows) load(vecs []ColVec, n int, sel []int32) {
+	w.vecs, w.n, w.sel, w.pos, w.selPos = vecs, n, sel, 0, 0
+}
+
+// next fills b with the next window holding a live slot; false once the
+// segment is exhausted.
+func (w *segWindows) next(b *Batch, size int) bool {
+	for w.pos < w.n {
+		lo := w.pos
+		cnt := min(w.n-lo, size)
+		w.pos += cnt
+		var sel []int32
+		if w.sel != nil {
+			sel = b.selBuf[:0]
+			for w.selPos < len(w.sel) && int(w.sel[w.selPos]) < lo+cnt {
+				sel = append(sel, w.sel[w.selPos]-int32(lo))
+				w.selPos++
+			}
+			b.selBuf = sel
+			if len(sel) == 0 {
+				continue // window fully dead
+			}
+		}
+		if len(w.hdrs) != len(w.vecs) {
+			w.hdrs = make([]ColVec, len(w.vecs))
+		}
+		for i := range w.vecs {
+			w.hdrs[i] = w.vecs[i].window(lo, lo+cnt)
+		}
+		b.cols, b.n, b.sel = w.hdrs, cnt, sel
+		return true
+	}
+	return false
+}
+
 type batchColScan struct {
 	t      *storage.Table
 	size   int
@@ -317,10 +437,9 @@ type batchColScan struct {
 	prAt   []int // position in cols of each prune's column
 
 	cs      storage.ColSeg
-	hdrs    []ColVec // full-width header buffer handed to consumers
+	vecs    []ColVec
+	win     segWindows
 	seg     int
-	pos     int // next slot offset within the loaded segment
-	selPos  int // next index into cs.Sel
 	loaded  bool
 	done    bool
 	skipped int
@@ -337,37 +456,25 @@ func NewBatchColScan(t *storage.Table, size int, cols []int, prunes []SegPrune) 
 	if size < 1 {
 		size = DefaultBatchSize
 	}
-	width := len(t.Schema().Attrs)
-	// The scan owns its column list: prune columns must be materialized to
-	// read their stats, so add any the caller didn't request.
-	need := append([]int(nil), cols...)
-	pos := make(map[int]int, len(need))
-	for i, c := range need {
-		pos[c] = i
-	}
-	prAt := make([]int, len(prunes))
-	for i, p := range prunes {
-		at, ok := pos[p.Col]
-		if !ok {
-			at = len(need)
-			need = append(need, p.Col)
-			pos[p.Col] = at
-		}
-		prAt[i] = at
-	}
-	return &batchColScan{t: t, size: size, nSeg: t.Segments(), cols: need, width: width,
-		prunes: prunes, prAt: prAt}
+	need, prAt := scanColumns(cols, prunes)
+	return &batchColScan{t: t, size: size, nSeg: t.Segments(), cols: need,
+		width: len(t.Schema().Attrs), prunes: prunes, prAt: prAt}
 }
 
 // NewBatchTableScan streams every column of a storage table in batches of
 // up to size rows — NewBatchColScan with the full column list and no
 // pruning. Batches are segment-aligned and rows arrive in row-ID order.
 func NewBatchTableScan(t *storage.Table, size int) BatchIterator {
-	cols := make([]int, len(t.Schema().Attrs))
+	return NewBatchColScan(t, size, allCols(len(t.Schema().Attrs)), nil)
+}
+
+// allCols lists column indexes 0..width-1.
+func allCols(width int) []int {
+	cols := make([]int, width)
 	for i := range cols {
 		cols[i] = i
 	}
-	return NewBatchColScan(t, size, cols, nil)
+	return cols
 }
 
 func (s *batchColScan) Schema() *schema.Schema { return s.t.Schema() }
@@ -385,16 +492,8 @@ func (s *batchColScan) Stop() {
 	s.done = true
 	s.loaded = false
 	s.cs = storage.ColSeg{}
-	s.hdrs = nil
-}
-
-func (s *batchColScan) pruned() bool {
-	for i := range s.prunes {
-		if s.prunes[i].skip(s.cs.Cols[s.prAt[i]].Stats) {
-			return true
-		}
-	}
-	return false
+	s.vecs = nil
+	s.win = segWindows{}
 }
 
 func (s *batchColScan) NextBatch(b *Batch) (bool, error) {
@@ -402,70 +501,22 @@ func (s *batchColScan) NextBatch(b *Batch) (bool, error) {
 		return false, nil
 	}
 	for {
-		if !s.loaded {
-			for {
-				if s.seg >= s.nSeg || !s.t.ScanSegmentCols(s.seg, s.cols, &s.cs) {
-					s.done = true
-					return false, nil
-				}
-				s.seg++
-				if !s.pruned() {
-					break
-				}
-				s.skipped++
-			}
-			s.pos, s.selPos = 0, 0
-			s.loaded = true
+		if s.loaded && s.win.next(b, s.size) {
+			return true, nil
 		}
-		if s.pos >= s.cs.N {
-			s.loaded = false
+		s.loaded = false
+		if s.seg >= s.nSeg || !s.t.ScanSegmentCols(s.seg, s.cols, &s.cs) {
+			s.done = true
+			return false, nil
+		}
+		s.seg++
+		if segPruned(s.prunes, s.prAt, &s.cs) {
+			s.skipped++
 			continue
 		}
-		lo := s.pos
-		n := s.cs.N - lo
-		if n > s.size {
-			n = s.size
-		}
-		s.pos += n
-		var sel []int32
-		if s.cs.Sel != nil {
-			sel = b.selBuf[:0]
-			for s.selPos < len(s.cs.Sel) && int(s.cs.Sel[s.selPos]) < lo+n {
-				sel = append(sel, s.cs.Sel[s.selPos]-int32(lo))
-				s.selPos++
-			}
-			b.selBuf = sel
-			if len(sel) == 0 {
-				continue // window fully dead
-			}
-		}
-		if s.hdrs == nil {
-			s.hdrs = make([]ColVec, s.width)
-		}
-		for i := range s.hdrs {
-			s.hdrs[i] = ColVec{}
-		}
-		for p, c := range s.cols {
-			r := &s.cs.Cols[p]
-			v := ColVec{Vals: r.Vals[lo : lo+n]}
-			if r.Tags != nil {
-				v.Tags = r.Tags[lo : lo+n]
-			}
-			if r.Srcs != nil {
-				v.Srcs = r.Srcs[lo : lo+n]
-			}
-			if r.Meta != nil {
-				v.Meta = r.Meta[lo : lo+n]
-			}
-			s.hdrs[c] = v
-		}
-		b.cols, b.n = s.hdrs, n
-		if s.cs.Sel != nil {
-			b.sel = sel
-		} else {
-			b.sel = nil
-		}
-		return true, nil
+		s.vecs = segVecs(&s.cs, s.cols, s.vecs, s.width)
+		s.win.load(s.vecs, s.cs.N, s.cs.Sel)
+		s.loaded = true
 	}
 }
 
@@ -491,12 +542,75 @@ func (r *batchRename) Stop()                            { stopIfStopper(r.in) }
 
 // ---- Batch select ----
 
-type batchSelect struct {
-	in   BatchIterator
+// batchFilter is a bound predicate in batch form: a column kernel when
+// the predicate compiles to one, else a scalar Predicate evaluated per
+// live slot over a scratch row holding only its referenced columns. It is
+// read-only after construction, so parallel scan workers share one.
+type batchFilter struct {
 	kern ColPred   // column kernel, when the predicate compiles to one
 	pred Predicate // scalar fallback over scratch rows
 	refs []int
 	ctx  *EvalContext
+}
+
+// newBatchFilter binds pred against s and picks its evaluation form:
+// compiled tries the column kernel, then CompilePredicate; otherwise the
+// interpreted Truth.
+func newBatchFilter(pred Expr, s *schema.Schema, ctx *EvalContext, compiled bool) (*batchFilter, error) {
+	if err := pred.Bind(s); err != nil {
+		return nil, err
+	}
+	f := &batchFilter{ctx: ctx, refs: ReferencedCols(pred)}
+	if !compiled {
+		f.pred = InterpretedPredicate(pred)
+		return f, nil
+	}
+	if k, ok := CompileColPred(pred, len(s.Attrs)); ok {
+		f.kern = k
+	} else {
+		f.pred = CompilePredicate(pred)
+	}
+	return f, nil
+}
+
+// refine appends b's live slots that pass the filter to dst, in slot
+// order, and returns it. On an evaluation error it also returns the
+// failing slot; dst then holds the survivors before it. dst may share
+// b.sel's backing array: a write never overtakes the read it follows.
+func (f *batchFilter) refine(b *Batch, dst []int32) ([]int32, int32, error) {
+	if f.kern != nil {
+		if b.sel != nil {
+			for _, i := range b.sel {
+				if f.kern(b.cols, i) {
+					dst = append(dst, i)
+				}
+			}
+		} else {
+			for i := 0; i < b.n; i++ {
+				if f.kern(b.cols, int32(i)) {
+					dst = append(dst, int32(i))
+				}
+			}
+		}
+		return dst, 0, nil
+	}
+	n := b.Len()
+	for i := 0; i < n; i++ {
+		p := b.phys(i)
+		keep, err := f.pred(b.scratchRowAt(p, f.refs), f.ctx)
+		if err != nil {
+			return dst, p, err
+		}
+		if keep {
+			dst = append(dst, p)
+		}
+	}
+	return dst, 0, nil
+}
+
+type batchSelect struct {
+	in BatchIterator
+	f  *batchFilter
 }
 
 // NewBatchSelect keeps the rows whose predicate is definitely true,
@@ -508,20 +622,11 @@ type batchSelect struct {
 // no row assembly at all. Everything else evaluates per live row over a
 // scratch row holding only the predicate's referenced columns.
 func NewBatchSelect(in BatchIterator, pred Expr, ctx *EvalContext, compiled bool) (BatchIterator, error) {
-	if err := pred.Bind(in.Schema()); err != nil {
+	f, err := newBatchFilter(pred, in.Schema(), ctx, compiled)
+	if err != nil {
 		return nil, err
 	}
-	s := &batchSelect{in: in, ctx: ctx, refs: ReferencedCols(pred)}
-	if compiled {
-		if k, ok := CompileColPred(pred, len(in.Schema().Attrs)); ok {
-			s.kern = k
-			return s, nil
-		}
-		s.pred = CompilePredicate(pred)
-		return s, nil
-	}
-	s.pred = InterpretedPredicate(pred)
-	return s, nil
+	return &batchSelect{in: in, f: f}, nil
 }
 
 func (s *batchSelect) Schema() *schema.Schema { return s.in.Schema() }
@@ -535,37 +640,13 @@ func (s *batchSelect) NextBatch(b *Batch) (bool, error) {
 			return false, err
 		}
 		// Refine in place: when a selection vector already exists (a select
-		// upstream), the write index never passes the read index, so reusing
-		// selBuf is safe.
-		sel := b.selBuf[:0]
-		if s.kern != nil {
-			if b.sel != nil {
-				for _, i := range b.sel {
-					if s.kern(b.cols, i) {
-						sel = append(sel, i)
-					}
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					if s.kern(b.cols, int32(i)) {
-						sel = append(sel, int32(i))
-					}
-				}
-			}
-		} else {
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				p := b.phys(i)
-				keep, err := s.pred(b.scratchRowAt(p, s.refs), s.ctx)
-				if err != nil {
-					return false, err
-				}
-				if keep {
-					sel = append(sel, p)
-				}
-			}
-		}
+		// upstream, or a scan window), it lives in selBuf too, and refine
+		// never writes past what it has read.
+		sel, _, err := s.f.refine(b, b.selBuf[:0])
 		b.selBuf = sel
+		if err != nil {
+			return false, err
+		}
 		if len(sel) > 0 {
 			b.sel = sel
 			return true, nil
@@ -779,145 +860,13 @@ func (l *batchLimit) NextBatch(b *Batch) (bool, error) {
 // empty-input behavior (one row). COUNT(*)-only aggregations never touch
 // the columns at all: each batch contributes its length, which is the
 // vectorized tier's fastest path. compiled selects Compile for the
-// aggregate arguments. Grouped aggregation lives in aggbatch.go.
+// aggregate arguments. It is NewBatchGroupedAggregate with no group keys
+// (aggbatch.go), including the fold inside parallel scan workers.
 func NewBatchAggregate(in BatchIterator, aggs []AggSpec, ctx *EvalContext, size int, compiled bool) (Iterator, error) {
-	inS := in.Schema()
-	if err := bindAggSpecs(inS, aggs); err != nil {
-		return nil, err
-	}
-	outS, err := aggOutputSchema(inS, nil, aggs)
-	if err != nil {
-		return nil, err
-	}
-
-	states := newAggStates(len(aggs))
-	argRefs := make([][]int, len(aggs))
-	evals := make([]Compiled, len(aggs))
-	var unionRefs []int
-	seen := map[int]bool{}
-	countOnly := true
-	for i := range aggs {
-		if aggs[i].Arg == nil {
-			continue
-		}
-		countOnly = false
-		argRefs[i] = ReferencedCols(aggs[i].Arg)
-		for _, r := range argRefs[i] {
-			if !seen[r] {
-				seen[r] = true
-				unionRefs = append(unionRefs, r)
-			}
-		}
-		if compiled {
-			evals[i] = Compile(aggs[i].Arg)
-		} else {
-			evals[i] = aggs[i].Arg.Eval
-		}
-	}
-
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	b := getBatch(size)
-	defer func() {
-		putBatch(b)
-		stopIfStopper(in)
-	}()
-	for {
-		ok, err := in.NextBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		n := b.Len()
-		if countOnly {
-			for i := range states {
-				states[i].count += int64(n)
-			}
-			continue
-		}
-		for r := 0; r < n; r++ {
-			t := b.scratchRowAt(b.phys(r), unionRefs)
-			for i := range aggs {
-				var v value.Value
-				if aggs[i].Arg != nil {
-					var err error
-					v, err = evals[i](t, ctx)
-					if err != nil {
-						return nil, err
-					}
-				}
-				states[i].foldRow(&aggs[i], v, argRefs[i], t)
-			}
-		}
-	}
-	cells := make([]relation.Cell, 0, len(aggs))
-	for i, a := range aggs {
-		c := states[i].cell
-		c.V = states[i].finish(a.Fn)
-		cells = append(cells, c)
-	}
-	return &aggregateOp{out: outS, rows: []relation.Tuple{{Cells: cells}}}, nil
+	return NewBatchGroupedAggregate(in, nil, aggs, ctx, size, compiled)
 }
 
-// ---- Adapters ----
-
-type toBatch struct {
-	in   Iterator
-	size int
-	done bool
-}
-
-// NewToBatch adapts a row iterator into a batch stream, transposing up to
-// size rows per call into the consumer's column buffer. It is how
-// row-producing sources the batch tier has no native port for — notably
-// the parallel scan's ordered merge — compose with batch operators.
-func NewToBatch(in Iterator, size int) BatchIterator {
-	if size < 1 {
-		size = DefaultBatchSize
-	}
-	return &toBatch{in: in, size: size}
-}
-
-func (a *toBatch) Schema() *schema.Schema { return a.in.Schema() }
-
-func (a *toBatch) SizeHint() int { return sizeHint(a.in) }
-
-func (a *toBatch) Stop() {
-	a.done = true
-	stopIfStopper(a.in)
-}
-
-func (a *toBatch) NextBatch(b *Batch) (bool, error) {
-	if a.done {
-		return false, nil
-	}
-	cols := b.ownedCols(len(a.in.Schema().Attrs))
-	n := 0
-	for n < a.size {
-		t, ok, err := a.in.Next()
-		if err != nil {
-			a.Stop()
-			return false, err
-		}
-		if !ok {
-			a.done = true
-			stopIfStopper(a.in)
-			break
-		}
-		for j := range cols {
-			cols[j].appendCell(t.Cells[j])
-		}
-		n++
-	}
-	if n == 0 {
-		return false, nil
-	}
-	b.setOwned(cols, n)
-	return true, nil
-}
+// ---- Adapter ----
 
 type fromBatch struct {
 	in   BatchIterator

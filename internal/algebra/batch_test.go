@@ -244,18 +244,18 @@ func TestBatchErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestToBatchRoundTrip: ToBatch ∘ FromBatch is the identity on a row
-// stream, for the parallel-scan composition shape.
-func TestToBatchRoundTrip(t *testing.T) {
+// TestParallelBatchScanRoundTrip: FromBatch over the parallel columnar
+// scan yields the serial row scan, for every batch size.
+func TestParallelBatchScanRoundTrip(t *testing.T) {
 	tbl := bigTable(t, 2*storage.SegmentSize+9)
 	want := drain(t, NewTableScan(tbl))
 	for _, size := range batchSizes {
-		pit, err := NewSharedParallelScan(tbl, 4, nil, ctx(), true)
+		ps, err := NewParallelBatchScan(tbl, 4, size, allCols(len(tbl.Schema().Attrs)), nil, nil, ctx(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drain(t, NewFromBatch(NewToBatch(pit, size), size))
-		sameRelation(t, want, got, fmt.Sprintf("to/from batch size %d", size))
+		got := drain(t, NewFromBatch(ps, size))
+		sameRelation(t, want, got, fmt.Sprintf("parallel batch scan, batch size %d", size))
 	}
 }
 

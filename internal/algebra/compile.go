@@ -286,11 +286,11 @@ func CompileColPred(e Expr, width int) (ColPred, bool) {
 			if int(off) >= len(tags) {
 				return false
 			}
-			got, ok := tags[off].Get(ind)
-			if !ok || got.IsNull() {
+			got := tags[off].Ref(ind) // in place: a copy would escape to the heap
+			if got == nil || got.IsNull() {
 				return false
 			}
-			c := cmp(&got)
+			c := cmp(got)
 			if flip {
 				c = -c
 			}

@@ -8,41 +8,133 @@ import (
 
 // Batch-native hash join: the build side is transposed into column
 // vectors keyed by hash, and the probe side streams through in batches,
-// evaluating keys straight off column vectors — no ToBatch/FromBatch seam,
-// no per-row tuple materialization until a match actually survives the key
-// confirm and residual.
+// evaluating keys straight off column vectors — no per-row tuple
+// materialization until a match actually survives the key confirm and
+// residual. The build table and the probe's bound evaluators (joinProbe)
+// are read-only once built, apart from the per-probe cursor
+// (probeCursor), so parallel scan workers probe one shared build.
 
-type batchHashJoin struct {
-	left BatchIterator
-	out  *schema.Schema
-	ctx  *EvalContext
-	size int
-
-	// Build side, materialized in the constructor: right rows stored
-	// columnar, their key values dense, and hash buckets listing row
-	// indexes in stream order (which is what keeps output order identical
-	// to the Volcano join).
-	rstore []ColVec
-	rkeys  []value.Value
-	build  map[uint64][]int32
+// joinProbe is the shared, read-only half of a batch hash join: the build
+// side, materialized in the constructor — right rows stored columnar,
+// their key values dense, and hash buckets listing row indexes in stream
+// order (which is what keeps output order identical to the Volcano join)
+// — plus the bound left-key and residual evaluators.
+type joinProbe struct {
+	rstore  []ColVec
+	rkeys   []value.Value
+	buckets map[uint64][]int32
 
 	lkIdx  int // bound ColRef index of the left key, -1 when computed
 	lkEval Compiled
 	lkRefs []int
 	resid  Predicate // nil when no residual
-
+	ctx    *EvalContext
 	lw, rw int
-	row    []relation.Cell // scratch joined row for residual + emission
+}
 
-	// Probe cursor, persisted across NextBatch calls.
-	buf        *Batch
+// probeCursor is one prober's position in a probe batch, persisted across
+// output-batch boundaries, plus its scratch joined row.
+type probeCursor struct {
+	row        []relation.Cell
 	li         int
 	lk         value.Value
 	matches    []int32
 	mi         int
 	leftFilled bool
-	loaded     bool
-	done       bool
+}
+
+// reset starts the cursor on a new probe batch.
+func (c *probeCursor) reset() { c.li, c.matches = 0, nil }
+
+// leftKeyAt evaluates the left key for physical slot p of the probe batch.
+func (jp *joinProbe) leftKeyAt(in *Batch, p int32) (value.Value, error) {
+	if jp.lkIdx >= 0 {
+		return in.cols[jp.lkIdx].Vals[p], nil
+	}
+	return jp.lkEval(in.scratchRowAt(p, jp.lkRefs), jp.ctx)
+}
+
+// fill probes in's live rows from the cursor on, appending joined rows to
+// out (which already holds cnt rows) until it holds limit rows or the
+// probe batch is exhausted. full reports the former: the cursor then sits
+// mid-batch and the next fill resumes there. Only the emit columns of out
+// are filled; a consumer that reads no column (COUNT(*)) copies no cell.
+func (jp *joinProbe) fill(c *probeCursor, in *Batch, out []ColVec, emit []int, cnt, limit int) (n int, full bool, err error) {
+	if c.row == nil {
+		c.row = make([]relation.Cell, jp.lw+jp.rw)
+	}
+	for c.li < in.Len() {
+		p := in.phys(c.li)
+		if c.matches == nil {
+			lk, err := jp.leftKeyAt(in, p)
+			if err != nil {
+				return cnt, false, err
+			}
+			c.mi, c.leftFilled = 0, false
+			if lk.IsNull() {
+				c.li++
+				continue
+			}
+			c.lk = lk
+			c.matches = jp.buckets[lk.Hash()]
+			if c.matches == nil {
+				c.matches = emptyMatches // distinguish "probed" from "not yet"
+			}
+		}
+		for c.mi < len(c.matches) {
+			m := c.matches[c.mi]
+			c.mi++
+			if !value.EqualPtr(&c.lk, &jp.rkeys[m]) {
+				continue // hash collision
+			}
+			if jp.resid != nil {
+				if !c.leftFilled {
+					for col := 0; col < jp.lw; col++ {
+						c.row[col] = in.cols[col].Cell(int(p))
+					}
+					c.leftFilled = true
+				}
+				for col := 0; col < jp.rw; col++ {
+					c.row[jp.lw+col] = jp.rstore[col].Cell(int(m))
+				}
+				keep, err := jp.resid(relation.Tuple{Cells: c.row}, jp.ctx)
+				if err != nil {
+					return cnt, false, err
+				}
+				if !keep {
+					continue
+				}
+			}
+			for _, col := range emit {
+				if col < jp.lw {
+					out[col].appendCell(in.cols[col].Cell(int(p)))
+				} else {
+					out[col].appendCell(jp.rstore[col-jp.lw].Cell(int(m)))
+				}
+			}
+			cnt++
+			if cnt >= limit {
+				return cnt, true, nil
+			}
+		}
+		c.matches = nil
+		c.li++
+	}
+	return cnt, false, nil
+}
+
+type batchHashJoin struct {
+	left BatchIterator
+	out  *schema.Schema
+	size int
+	jp   *joinProbe
+	all  []int // every output column: the join emits whole rows
+
+	// Probe state, persisted across NextBatch calls.
+	cur    probeCursor
+	buf    *Batch
+	loaded bool
+	done   bool
 }
 
 // NewBatchHashJoin is the batch-native equi-join on leftKey = rightKey
@@ -65,34 +157,33 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 	if size < 1 {
 		size = DefaultBatchSize
 	}
-	j := &batchHashJoin{
-		left: left, out: out, ctx: ctx, size: size,
+	evalOf := func(e Expr) Compiled {
+		if compiled {
+			return Compile(e)
+		}
+		return e.Eval
+	}
+	jp := &joinProbe{
 		lw: len(left.Schema().Attrs), rw: len(right.Schema().Attrs),
-		build: make(map[uint64][]int32),
-		lkIdx: -1,
+		buckets: make(map[uint64][]int32),
+		lkIdx:   -1, lkEval: evalOf(leftKey), ctx: ctx,
 	}
 	if residual != nil {
 		if err := residual.Bind(out); err != nil {
 			return nil, err
 		}
 		if compiled {
-			j.resid = CompilePredicate(residual)
+			jp.resid = CompilePredicate(residual)
 		} else {
-			j.resid = InterpretedPredicate(residual)
+			jp.resid = InterpretedPredicate(residual)
 		}
 	}
 	if cr, ok := leftKey.(*ColRef); ok {
-		j.lkIdx = cr.idx
+		jp.lkIdx = cr.idx
 	} else {
-		j.lkRefs = ReferencedCols(leftKey)
+		jp.lkRefs = ReferencedCols(leftKey)
 	}
-	if compiled {
-		j.lkEval = Compile(leftKey)
-	} else {
-		j.lkEval = leftKey.Eval
-	}
-	j.rstore = make([]ColVec, j.rw)
-	j.row = make([]relation.Cell, j.lw+j.rw)
+	jp.rstore = make([]ColVec, jp.rw)
 
 	// Drain and transpose the build side.
 	rkIdx := -1
@@ -102,12 +193,7 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 	} else {
 		rkRefs = ReferencedCols(rightKey)
 	}
-	var rkEval Compiled
-	if compiled {
-		rkEval = Compile(rightKey)
-	} else {
-		rkEval = rightKey.Eval
-	}
+	rkEval := evalOf(rightKey)
 	rb := getBatch(size)
 	defer func() {
 		putBatch(rb)
@@ -136,16 +222,17 @@ func NewBatchHashJoin(left, right BatchIterator, leftKey, rightKey, residual Exp
 			if k.IsNull() {
 				continue // null keys never join
 			}
-			m := int32(len(j.rkeys))
-			for c := range j.rstore {
-				j.rstore[c].appendCell(rb.cols[c].Cell(int(p)))
+			m := int32(len(jp.rkeys))
+			for c := range jp.rstore {
+				jp.rstore[c].appendCell(rb.cols[c].Cell(int(p)))
 			}
-			j.rkeys = append(j.rkeys, k)
+			jp.rkeys = append(jp.rkeys, k)
 			h := k.Hash()
-			j.build[h] = append(j.build[h], m)
+			jp.buckets[h] = append(jp.buckets[h], m)
 		}
 	}
-	if len(j.build) == 0 {
+	j := &batchHashJoin{left: left, out: out, size: size, jp: jp, all: allCols(jp.lw + jp.rw)}
+	if len(jp.buckets) == 0 {
 		// Nothing can match; release the probe side without scanning it.
 		stopIfStopper(left)
 		j.done = true
@@ -163,16 +250,8 @@ func (j *batchHashJoin) Stop() {
 		putBatch(j.buf)
 		j.buf = nil
 	}
-	j.rstore, j.rkeys, j.build = nil, nil, nil
+	j.jp = nil
 	stopIfStopper(j.left)
-}
-
-// leftKeyAt evaluates the left key for physical slot p of the probe batch.
-func (j *batchHashJoin) leftKeyAt(p int32) (value.Value, error) {
-	if j.lkIdx >= 0 {
-		return j.buf.cols[j.lkIdx].Vals[p], nil
-	}
-	return j.lkEval(j.buf.scratchRowAt(p, j.lkRefs), j.ctx)
 }
 
 func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
@@ -182,7 +261,7 @@ func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
 	if j.buf == nil {
 		j.buf = getBatch(j.size)
 	}
-	out := b.ownedCols(j.lw + j.rw)
+	out := b.ownedCols(j.jp.lw + j.jp.rw)
 	cnt := 0
 	for {
 		if !j.loaded {
@@ -199,63 +278,19 @@ func (j *batchHashJoin) NextBatch(b *Batch) (bool, error) {
 				}
 				return false, nil
 			}
-			j.li, j.matches, j.loaded = 0, nil, true
+			j.cur.reset()
+			j.loaded = true
 		}
-		for j.li < j.buf.Len() {
-			p := j.buf.phys(j.li)
-			if j.matches == nil {
-				lk, err := j.leftKeyAt(p)
-				if err != nil {
-					j.Stop()
-					return false, err
-				}
-				j.mi, j.leftFilled = 0, false
-				if lk.IsNull() {
-					j.li++
-					continue
-				}
-				j.lk = lk
-				j.matches = j.build[lk.Hash()]
-				if j.matches == nil {
-					j.matches = emptyMatches // distinguish "probed" from "not yet"
-				}
-			}
-			for j.mi < len(j.matches) {
-				m := j.matches[j.mi]
-				j.mi++
-				if !value.EqualPtr(&j.lk, &j.rkeys[m]) {
-					continue // hash collision
-				}
-				if !j.leftFilled {
-					for c := 0; c < j.lw; c++ {
-						j.row[c] = j.buf.cols[c].Cell(int(p))
-					}
-					j.leftFilled = true
-				}
-				for c := 0; c < j.rw; c++ {
-					j.row[j.lw+c] = j.rstore[c].Cell(int(m))
-				}
-				if j.resid != nil {
-					keep, err := j.resid(relation.Tuple{Cells: j.row}, j.ctx)
-					if err != nil {
-						j.Stop()
-						return false, err
-					}
-					if !keep {
-						continue
-					}
-				}
-				for c := range out {
-					out[c].appendCell(j.row[c])
-				}
-				cnt++
-				if cnt >= j.size {
-					b.setOwned(out, cnt)
-					return true, nil
-				}
-			}
-			j.matches = nil
-			j.li++
+		var full bool
+		var err error
+		cnt, full, err = j.jp.fill(&j.cur, j.buf, out, j.all, cnt, j.size)
+		if err != nil {
+			j.Stop()
+			return false, err
+		}
+		if full {
+			b.setOwned(out, cnt)
+			return true, nil
 		}
 		j.loaded = false
 	}

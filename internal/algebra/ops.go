@@ -835,6 +835,10 @@ func NewAggregate(in Iterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext)
 		}
 	}
 
+	// The group key is built in a reused buffer and looked up without
+	// allocating; only a new group's key string and cells are allocated.
+	keyVals := make([]value.Value, len(groupBy))
+	var kb []byte
 	for {
 		t, ok, err := in.Next()
 		if err != nil {
@@ -843,27 +847,30 @@ func NewAggregate(in Iterator, groupBy []Expr, aggs []AggSpec, ctx *EvalContext)
 		if !ok {
 			break
 		}
-		keyCells := make([]relation.Cell, len(groupBy))
-		var kb strings.Builder
+		kb = kb[:0]
 		for i, g := range groupBy {
 			v, err := g.Eval(t, ctx)
 			if err != nil {
 				return nil, err
 			}
-			if cr, ok := g.(*ColRef); ok {
-				keyCells[i] = t.Cells[cr.idx]
-			} else {
-				keyCells[i] = deriveCell(v, t, keyRefs[i])
-			}
+			keyVals[i] = v
 			if i > 0 {
-				kb.WriteByte(0)
+				kb = append(kb, 0)
 			}
-			kb.WriteString(v.Literal())
+			kb = v.AppendLiteral(kb)
 		}
-		k := kb.String()
-		gr, ok := groups[k]
+		gr, ok := groups[string(kb)]
 		if !ok {
+			keyCells := make([]relation.Cell, len(groupBy))
+			for i, g := range groupBy {
+				if cr, ok := g.(*ColRef); ok {
+					keyCells[i] = t.Cells[cr.idx]
+				} else {
+					keyCells[i] = deriveCell(keyVals[i], t, keyRefs[i])
+				}
+			}
 			gr = &group{keyCells: keyCells, states: newAggStates(len(aggs))}
+			k := string(kb)
 			groups[k] = gr
 			order = append(order, k)
 		}

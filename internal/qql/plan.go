@@ -482,15 +482,8 @@ func segPrunes(conjuncts []algebra.Expr, sch *schema.Schema) []algebra.SegPrune 
 // COUNT(*) legitimately requests zero columns: the batches then carry
 // only their row count.
 func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr, hasAgg bool) []int {
-	full := func() []int {
-		cols := make([]int, len(sch.Attrs))
-		for i := range cols {
-			cols[i] = i
-		}
-		return cols
-	}
 	if !hasAgg && len(st.OrderBy) > 0 {
-		return full()
+		return allColumns(sch)
 	}
 	seen := make(map[int]bool, len(sch.Attrs))
 	cols := []int{}
@@ -539,9 +532,18 @@ func batchScanCols(st *SelectStmt, sch *schema.Schema, conjuncts []algebra.Expr,
 		}
 	}
 	if all {
-		return full()
+		return allColumns(sch)
 	}
 	sort.Ints(cols)
+	return cols
+}
+
+// allColumns lists every column index of sch.
+func allColumns(sch *schema.Schema) []int {
+	cols := make([]int, len(sch.Attrs))
+	for i := range cols {
+		cols[i] = i
+	}
 	return cols
 }
 
@@ -806,29 +808,31 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			} else {
 				p.add(fmt.Sprintf("Vectorized(batch=%d)", s.batchSize))
 			}
-			if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-				// Workers produce filtered segments, the merge stays
-				// row-ID-ordered, and batching picks up at the merge output.
-				fused := andAll(all)
-				pit, err := algebra.NewSharedParallelScan(baseTable, degree, fused, s.ctx, s.vecComp)
+			// Materialize only the columns the plan touches, and skip
+			// whole segments whose min/max statistics refute a sargable
+			// conjunct.
+			cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
+			prunes := segPrunes(all, baseTable.Schema())
+			fused := andAll(all)
+			if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll && (len(cols) > 0 || fused != nil) {
+				// Morsel-driven columnar scan: workers claim segments and
+				// run the column read, the pruning and the fused WHERE +
+				// WITH QUALITY predicate; batches merge in segment order.
+				// An aggregate above may take the rest of the pipeline into
+				// the workers too. A bare COUNT(*) has no per-segment work
+				// to split and stays on the serial scan below.
+				ps, err := algebra.NewParallelBatchScan(baseTable, degree, s.batchSize, cols, prunes, fused, s.ctx, s.vecComp)
 				if err != nil {
 					return nil, err
 				}
-				desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
-				if fused != nil {
-					desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
-				}
-				bit = algebra.NewToBatch(p.tapIt(desc, pit, 0), s.batchSize)
+				bit = p.tapBit(parallelScanDesc(st.From.Table, degree, fused), ps, 0)
 				whereConjuncts, qualityConjuncts = nil, nil
 			} else {
-				// Serial columnar scan: materialize only the columns the
-				// plan touches, and skip whole segments whose min/max
-				// statistics refute a sargable conjunct. The conjuncts are
-				// not consumed — pruning only removes segments where the
-				// predicate cannot hold for any row, and the BatchSelect
-				// below still filters the survivors.
-				cols := batchScanCols(st, baseTable.Schema(), all, hasAgg)
-				bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, segPrunes(all, baseTable.Schema())), 0)
+				// Serial columnar scan. The conjuncts are not consumed —
+				// pruning only removes segments where the predicate cannot
+				// hold for any row, and the BatchSelect below still filters
+				// the survivors.
+				bit = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchColScan(baseTable, s.batchSize, cols, prunes), 0)
 			}
 		} else if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
 			// Large unindexed scan: fan segments out across workers, fusing
@@ -843,11 +847,7 @@ func (s *Session) buildSelect(st *SelectStmt, tables map[string]*storage.Table) 
 			if stopper, ok := pit.(algebra.Stopper); ok {
 				p.stop = stopper.Stop
 			}
-			desc := fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree)
-			if fused != nil {
-				desc = fmt.Sprintf("ParallelScan(%s, ×%d: %s)", st.From.Table, degree, fused.String())
-			}
-			it = p.tapIt(desc, pit, 0)
+			it = p.tapIt(parallelScanDesc(st.From.Table, degree, fused), pit, 0)
 			whereConjuncts, qualityConjuncts = nil, nil
 		} else {
 			it = p.tapIt(fmt.Sprintf("TableScan(%s)", st.From.Table), algebra.NewSharedTableScan(baseTable), 0)
@@ -1043,6 +1043,15 @@ func (s *Session) adoptFromBatch(bit algebra.BatchIterator, p *plan) algebra.Ite
 		p.stop = stopper.Stop
 	}
 	return fb
+}
+
+// parallelScanDesc is the EXPLAIN label of a parallel scan, with the
+// fused predicate when there is one.
+func parallelScanDesc(table string, degree int, fused algebra.Expr) string {
+	if fused == nil {
+		return fmt.Sprintf("ParallelScan(%s, ×%d)", table, degree)
+	}
+	return fmt.Sprintf("ParallelScan(%s, ×%d: %s)", table, degree, fused.String())
 }
 
 // parallelDegree decides the fan-out for scanning tbl: the session's
@@ -1263,11 +1272,13 @@ func (s *Session) planBatchJoin(st *SelectStmt, tables map[string]*storage.Table
 	// filters above the join still run batch-native.
 	var left algebra.BatchIterator
 	if degree := s.parallelDegree(baseTable); degree > 1 && consumesAll {
-		pit, err := algebra.NewSharedParallelScan(baseTable, degree, nil, s.ctx, s.vecComp)
+		// A probe side the plan drains scans in parallel; an aggregate
+		// above the join can then run the probe itself in the workers.
+		ps, err := algebra.NewParallelBatchScan(baseTable, degree, s.batchSize, allColumns(baseTable.Schema()), nil, nil, s.ctx, s.vecComp)
 		if err != nil {
 			return nil, err
 		}
-		left = algebra.NewToBatch(p.tapIt(fmt.Sprintf("ParallelScan(%s, ×%d)", st.From.Table, degree), pit, 0), s.batchSize)
+		left = p.tapBit(parallelScanDesc(st.From.Table, degree, nil), ps, 0)
 	} else {
 		left = p.tapBit(fmt.Sprintf("BatchTableScan(%s)", st.From.Table), algebra.NewBatchTableScan(baseTable, s.batchSize), 0)
 	}

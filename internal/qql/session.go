@@ -482,6 +482,26 @@ func (s *Session) execStmt(st Stmt, key string) (Result, error) {
 	return Result{}, fmt.Errorf("qql: unhandled statement %T", st)
 }
 
+// PlanShapeClasses lists every value PlanShapeClass can return, for
+// callers that pre-register per-class accounting series.
+var PlanShapeClasses = []string{"columnar", "parallel", "index", "row"}
+
+// PlanShapeClass buckets a SELECT's plan (ExecInfo.PlanShape) by access
+// path: parallel for a parallel segment scan, index for an index lookup,
+// columnar for the serial batch tier, row for the row-at-a-time tier.
+func PlanShapeClass(shape string) string {
+	switch {
+	case strings.Contains(shape, "ParallelScan("):
+		return "parallel"
+	case strings.Contains(shape, "IndexScan("):
+		return "index"
+	case strings.Contains(shape, "Vectorized("):
+		return "columnar"
+	default:
+		return "row"
+	}
+}
+
 // StmtKinds lists every value StmtKind can return, for callers that
 // pre-register per-kind accounting series (so a scrape sees every kind at
 // zero before the first statement of that kind arrives).

@@ -255,3 +255,71 @@ func TestShowStatsOverWire(t *testing.T) {
 		t.Errorf("server_connections_active = %q, want 1", stats["server_connections_active"])
 	}
 }
+
+// TestPlanShapeCounter: each executed SELECT moves exactly the
+// qqld_plan_shape_total label of its access path — an index lookup, a
+// parallel segment scan, a serial columnar scan — and every label is
+// exposed at zero before traffic.
+func TestPlanShapeCounter(t *testing.T) {
+	srv := startServer(t, server.Config{Parallelism: 2})
+	c := dial(t, srv)
+	shapes := []string{"columnar", "parallel", "index", "row"}
+	counts := func() map[string]string {
+		body := scrapeMetrics(t, srv)
+		out := map[string]string{}
+		for _, s := range shapes {
+			prefix := fmt.Sprintf(`qqld_plan_shape_total{shape=%q} `, s)
+			i := strings.Index(body, prefix)
+			if i < 0 {
+				t.Fatalf("/metrics lacks %s", prefix)
+			}
+			line := body[i+len(prefix):]
+			out[s] = line[:strings.IndexByte(line, '\n')]
+		}
+		return out
+	}
+	for s, v := range counts() {
+		if v != "0" {
+			t.Fatalf("before traffic: shape %s = %s, want 0", s, v)
+		}
+	}
+	if _, err := c.Exec(`CREATE TABLE t (k int REQUIRED, v int) KEY (k)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`CREATE INDEX ON t (v) USING HASH`); err != nil {
+		t.Fatal(err)
+	}
+	// Two heap segments, so an unindexed scan fans out.
+	const rows = 5000
+	for lo := 0; lo < rows; lo += 500 {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO t VALUES `)
+		for i := lo; i < lo+500; i++ {
+			if i > lo {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, %d)", i, i%97)
+		}
+		if _, err := c.Exec(b.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]int{}
+	for _, q := range []struct{ sql, shape string }{
+		{`SELECT k FROM t WHERE v = 7`, "index"},
+		{`SELECT COUNT(*) AS n FROM t WHERE k >= 100`, "parallel"},
+		{`SELECT COUNT(*) AS n FROM t`, "columnar"},
+		{`SELECT k FROM t WHERE v = 8`, "index"},
+	} {
+		if _, _, err := c.Query(q.sql); err != nil {
+			t.Fatal(err)
+		}
+		want[q.shape]++
+		got := counts()
+		for _, s := range shapes {
+			if got[s] != fmt.Sprint(want[s]) {
+				t.Fatalf("after %s: shape %s = %s, want %d", q.sql, s, got[s], want[s])
+			}
+		}
+	}
+}

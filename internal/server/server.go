@@ -174,6 +174,7 @@ func (s *Server) registerMetrics() {
 	r.Help("qqld_statement_errors_total", "Failed requests per statement kind.")
 	r.Help("qqld_statement_seconds", "Request execution latency per statement kind.")
 	r.Help("qqld_query_seconds", "Request execution latency across all statement kinds.")
+	r.Help("qqld_plan_shape_total", "Executed SELECTs per plan access path (columnar, parallel, index, row).")
 	r.Help("qqld_plan_cache_hits_total", "Plan-cache hits per tier (ast, plan).")
 	r.Help("qqld_plan_cache_misses_total", "Plan-cache misses per tier (ast, plan).")
 	r.Help("qqld_plan_cache_invalidations_total", "Bound plans evicted by schema-version validation.")
@@ -207,6 +208,9 @@ func (s *Server) registerMetrics() {
 		r.Counter("qqld_statements_total", metrics.L("kind", kind))
 		r.Counter("qqld_statement_errors_total", metrics.L("kind", kind))
 		r.Histogram("qqld_statement_seconds", metrics.L("kind", kind))
+	}
+	for _, shape := range qql.PlanShapeClasses {
+		r.Counter("qqld_plan_shape_total", metrics.L("shape", shape))
 	}
 	r.Histogram("qqld_query_seconds")
 }
@@ -785,6 +789,9 @@ func (s *Server) record(sess *qql.Session, src, proto string, dur time.Duration,
 		s.reg.Counter("qqld_statement_errors_total", metrics.L("kind", kind)).Inc()
 	}
 	s.reg.Histogram("qqld_statement_seconds", metrics.L("kind", kind)).Observe(dur)
+	if kind == "select" && info.PlanShape != "" {
+		s.reg.Counter("qqld_plan_shape_total", metrics.L("shape", qql.PlanShapeClass(info.PlanShape))).Inc()
+	}
 	s.reg.Histogram("qqld_query_seconds").Observe(dur)
 	if s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery {
 		text := src

@@ -39,6 +39,21 @@ func (s Sources) Contains(name string) bool {
 	return i < len(s) && s[i] == name
 }
 
+// containsAll reports whether every source of o is in s (both sorted).
+func (s Sources) containsAll(o Sources) bool {
+	i := 0
+	for _, x := range o {
+		for i < len(s) && s[i] < x {
+			i++
+		}
+		if i == len(s) || s[i] != x {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
 // Union returns the set union of s and o, per the polygen propagation rule
 // for derived cells.
 func (s Sources) Union(o Sources) Sources {
@@ -47,6 +62,12 @@ func (s Sources) Union(o Sources) Sources {
 	}
 	if len(o) == 0 {
 		return append(Sources(nil), s...)
+	}
+	if s.containsAll(o) {
+		// Nothing to add: the common case of a running provenance fold
+		// that has seen every source already. Source sets are never
+		// mutated in place, so s itself is the union.
+		return s
 	}
 	out := make(Sources, 0, len(s)+len(o))
 	i, j := 0, 0

@@ -99,6 +99,18 @@ func (s Set) Get(indicator string) (value.Value, bool) {
 	return value.Null, false
 }
 
+// Ref returns a pointer to the indicator's value inside the set, or nil
+// when the set carries no such tag. Sets are immutable: callers must not
+// write through the pointer. Comparison kernels use it to test a tag in
+// place, without copying the value out.
+func (s Set) Ref(indicator string) *value.Value {
+	i := sort.Search(len(s.tags), func(i int) bool { return s.tags[i].Indicator >= indicator })
+	if i < len(s.tags) && s.tags[i].Indicator == indicator {
+		return &s.tags[i].Value
+	}
+	return nil
+}
+
 // Has reports whether the set carries a tag for the indicator.
 func (s Set) Has(indicator string) bool {
 	_, ok := s.Get(indicator)
@@ -194,6 +206,12 @@ func Merge(a, b Set, policy MergePolicy) Set {
 // (Intersect is associative and commutative, unlike Merge with MergeDrop,
 // which keeps one-sided tags).
 func Intersect(a, b Set) Set {
+	if subsetOf(a, b) {
+		// The common case of a running intersection that has already
+		// settled: nothing is dropped, so a itself is the result (sets are
+		// immutable, sharing is safe).
+		return a
+	}
 	var out []Tag
 	i, j := 0, 0
 	for i < len(a.tags) && j < len(b.tags) {
@@ -211,6 +229,22 @@ func Intersect(a, b Set) Set {
 		}
 	}
 	return Set{tags: out}
+}
+
+// subsetOf reports whether every tag of a appears in b with an Equal
+// value — when Intersect(a, b) keeps all of a.
+func subsetOf(a, b Set) bool {
+	j := 0
+	for _, t := range a.tags {
+		for j < len(b.tags) && b.tags[j].Indicator < t.Indicator {
+			j++
+		}
+		if j == len(b.tags) || b.tags[j].Indicator != t.Indicator || !value.Equal(t.Value, b.tags[j].Value) {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Equal reports whether two sets carry the same indicators with Equal values.

@@ -36,6 +36,12 @@ func TestSetBasics(t *testing.T) {
 	if _, ok := s.Get("missing"); ok {
 		t.Error("Get(missing) should report absent")
 	}
+	if p := s.Ref("source"); p == nil || p.AsString() != "Nexis" {
+		t.Errorf("Ref(source) = %v", p)
+	}
+	if s.Ref("missing") != nil {
+		t.Error("Ref(missing) should be nil")
+	}
 	if !s.Has("creation_time") || s.Has("nope") {
 		t.Error("Has broken")
 	}
@@ -231,5 +237,42 @@ func TestSourcesLattice(t *testing.T) {
 	}
 	if err := quick.Check(absorb, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFoldFastPaths: the no-change cases a running provenance fold hits —
+// intersecting with a superset, uniting with a subset — return the same
+// set the general merge builds.
+func TestFoldFastPaths(t *testing.T) {
+	src := Tag{"source", value.Str("Nexis")}
+	at := Tag{"creation_time", value.Time(time.Date(1991, 10, 3, 0, 0, 0, 0, time.UTC))}
+	a := NewSet(src)
+	for _, c := range []struct{ b, want Set }{
+		{NewSet(src, at), a},
+		{NewSet(src), a},
+		{NewSet(at), EmptySet},
+		{NewSet(Tag{"source", value.Str("WSJ")}, at), EmptySet},
+		{EmptySet, EmptySet},
+	} {
+		if got := Intersect(a, c.b); !got.Equal(c.want) {
+			t.Errorf("Intersect(%v, %v) = %v, want %v", a, c.b, got, c.want)
+		}
+	}
+	if got := Intersect(EmptySet, a); !got.IsEmpty() {
+		t.Errorf("Intersect(empty, a) = %v", got)
+	}
+	s := NewSources("reuters", "wsj")
+	for _, c := range []struct {
+		o    Sources
+		want Sources
+	}{
+		{NewSources("wsj"), NewSources("reuters", "wsj")},
+		{NewSources("reuters", "wsj"), NewSources("reuters", "wsj")},
+		{NewSources("ap", "wsj"), NewSources("ap", "reuters", "wsj")},
+		{NewSources("zz"), NewSources("reuters", "wsj", "zz")},
+	} {
+		if got := s.Union(c.o); !got.Equal(c.want) {
+			t.Errorf("%v ∪ %v = %v, want %v", s, c.o, got, c.want)
+		}
 	}
 }

@@ -355,6 +355,42 @@ func (v Value) Literal() string {
 	}
 }
 
+// AppendLiteral appends the value's Literal rendering to dst and returns
+// the extended slice — the same bytes as Literal, without the per-call
+// string building. Hash-grouping loops use it to encode group keys into a
+// reused buffer; only a duration still allocates (time.Duration has no
+// append form).
+func (v Value) AppendLiteral(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return append(dst, "null"...)
+	case KindBool:
+		return strconv.AppendBool(dst, v.AsBool())
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindString:
+		dst = append(dst, '\'')
+		for i := 0; i < len(v.s); i++ {
+			if v.s[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, v.s[i])
+		}
+		return append(dst, '\'')
+	case KindTime:
+		dst = append(dst, "t'"...)
+		dst = v.t.AppendFormat(dst, time.RFC3339Nano)
+		return append(dst, '\'')
+	case KindDuration:
+		dst = append(dst, "d'"...)
+		dst = append(dst, time.Duration(v.i).String()...)
+		return append(dst, '\'')
+	}
+	return append(dst, v.String()...)
+}
+
 // Parse converts text into a value of the requested kind. It is the inverse
 // of String for every kind, and is used when loading workload fixtures.
 func Parse(k Kind, s string) (Value, error) {

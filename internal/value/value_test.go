@@ -261,6 +261,33 @@ func TestLiteral(t *testing.T) {
 	}
 }
 
+// TestAppendLiteralMatchesLiteral: the buffer form renders every kind to
+// exactly Literal's bytes — group keys built either way must collide
+// identically — and appends after existing content.
+func TestAppendLiteralMatchesLiteral(t *testing.T) {
+	cases := []Value{
+		Null,
+		Bool(true), Bool(false),
+		Int(0), Int(-7), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(1.5), Float(-2.25e-300), Float(1e21),
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Str(""), Str("plain"), Str("o'brien"), Str("''"), Str("'"), Str("a\x00b"), Str("ünï'cödé"),
+		Time(time.Date(1991, 1, 2, 0, 0, 0, 0, time.UTC)),
+		Time(time.Date(2024, 2, 29, 23, 59, 59, 123456789, time.UTC)),
+		Time(time.Date(1969, 12, 31, 12, 0, 0, 0, time.FixedZone("x", -5*3600))),
+		Duration(0), Duration(time.Hour), Duration(-90 * time.Second), Duration(1500 * time.Microsecond),
+	}
+	for _, v := range cases {
+		want := v.Literal()
+		if got := string(v.AppendLiteral(nil)); got != want {
+			t.Errorf("%v (%v): AppendLiteral = %q, Literal = %q", v, v.Kind(), got, want)
+		}
+		if got := string(v.AppendLiteral([]byte("k\x00"))); got != "k\x00"+want {
+			t.Errorf("%v (%v): AppendLiteral onto a prefix = %q", v, v.Kind(), got)
+		}
+	}
+}
+
 func TestCoerce(t *testing.T) {
 	v, err := Coerce(Int(3), KindFloat)
 	if err != nil || v.Kind() != KindFloat || v.AsFloat() != 3.0 {

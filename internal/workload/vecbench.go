@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"time"
 
@@ -15,7 +16,9 @@ import (
 // VecBenchConfig drives the VEC experiment: the same scan-heavy queries as
 // PAR, executed through the row-at-a-time Volcano tier and the vectorized
 // tier (interpreted and compiled expressions), all serially, so the
-// comparison isolates execution style from parallelism.
+// comparison isolates execution style from parallelism — plus the session
+// defaults a user actually gets (parallel degree GOMAXPROCS, vectorized,
+// compiled), so a default that is slower than serial cannot hide.
 type VecBenchConfig struct {
 	// Rows is the customer table size. Default 100000.
 	Rows int
@@ -81,9 +84,12 @@ type VecMode struct {
 	// ClonesPerQuery is the storage.TupleClones delta per execution: the
 	// zero-clone scan paths must report 0 here.
 	ClonesPerQuery int64 `json:"clones_per_query"`
+	// Plan is the operator pipeline the mode ran (EXPLAIN's steps joined
+	// by " -> "), so two modes that ran the same plan are visible as such.
+	Plan string `json:"plan"`
 }
 
-// VecBenchCase is one query's three-way comparison.
+// VecBenchCase is one query's four-way comparison.
 type VecBenchCase struct {
 	Name  string `json:"name"`
 	Query string `json:"query"`
@@ -92,10 +98,26 @@ type VecBenchCase struct {
 	Scalar     VecMode `json:"scalar"`
 	Vectorized VecMode `json:"vectorized"`
 	Compiled   VecMode `json:"compiled"`
+	// Default runs an untouched qql.NewSession: parallel degree
+	// GOMAXPROCS, vectorized, compiled.
+	Default VecMode `json:"default"`
 	// SpeedupVectorized is vectorized q/s over scalar q/s;
-	// SpeedupCompiled is vectorized+compiled q/s over scalar q/s.
+	// SpeedupCompiled is vectorized+compiled q/s over scalar q/s;
+	// SpeedupDefault is default q/s over serial compiled q/s.
 	SpeedupVectorized float64 `json:"speedup_vectorized"`
 	SpeedupCompiled   float64 `json:"speedup_compiled"`
+	SpeedupDefault    float64 `json:"speedup_default"`
+}
+
+// VecSessions are the four sessions the VEC experiment compares, all over
+// one catalog: scalar (vectorization off), vectorized with interpreted
+// expressions and vectorized with compiled expressions — those three at
+// parallel degree 1 — and a session with its defaults untouched. Plan
+// reports the plan a session runs for a query (for a qql session, its
+// EXPLAIN's ExecInfo.PlanShape).
+type VecSessions struct {
+	Scalar, Vectorized, Compiled, Default Querier
+	Plan                                  func(sess Querier, q string) (string, error)
 }
 
 // VecBenchReport is the machine-readable VEC result (BENCH_VEC.json).
@@ -124,85 +146,98 @@ func VecBenchQueries() []struct{ Name, Q string } {
 	}
 }
 
-// vecTimeQuery measures one query: warmup, then Iters timed runs, tracking
-// the result cardinality and the per-run clone-counter delta.
-func vecTimeQuery(sess Querier, q string, warmup, iters int) (rows int, clones int64, lats []time.Duration, err error) {
-	for i := 0; i < warmup; i++ {
-		out, err := sess.Query(q)
-		if err != nil {
-			return 0, 0, nil, err
+// vecTimeModes measures one query in every mode: warmup runs, then Iters
+// timed rounds that each run every mode once, in an order shuffled per
+// round so machine drift falls on all modes alike. Each timed run starts
+// after a collection, so no mode pays for the garbage another left
+// behind (the scalar tier's is large). It tracks each mode's result
+// cardinality, per-run clone delta and plan.
+func vecTimeModes(sessions []Querier, plan func(Querier, string) (string, error), q string, warmup, iters int, rng *rand.Rand) (rows []int, clones []int64, plans []string, lats [][]time.Duration, err error) {
+	n := len(sessions)
+	rows, clones, plans = make([]int, n), make([]int64, n), make([]string, n)
+	lats = make([][]time.Duration, n)
+	for m, sess := range sessions {
+		for i := 0; i < warmup; i++ {
+			out, err := sess.Query(q)
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			rows[m] = out.Len()
 		}
-		rows = out.Len()
+		if plans[m], err = plan(sess, q); err != nil {
+			return nil, nil, nil, nil, err
+		}
 	}
-	lats = make([]time.Duration, 0, iters)
-	beforeClones := storage.TupleClones()
 	for i := 0; i < iters; i++ {
-		t0 := time.Now()
-		out, err := sess.Query(q)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		lats = append(lats, time.Since(t0))
-		if i == 0 {
-			rows = out.Len()
-		} else if out.Len() != rows {
-			return 0, 0, nil, fmt.Errorf("unstable cardinality: %d then %d", rows, out.Len())
+		for _, m := range rng.Perm(n) {
+			runtime.GC()
+			before := storage.TupleClones()
+			t0 := time.Now()
+			out, err := sessions[m].Query(q)
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			lats[m] = append(lats[m], time.Since(t0))
+			clones[m] += storage.TupleClones() - before
+			if out.Len() != rows[m] {
+				return nil, nil, nil, nil, fmt.Errorf("unstable cardinality: %d then %d", rows[m], out.Len())
+			}
 		}
 	}
-	clones = (storage.TupleClones() - beforeClones) / int64(iters)
-	return rows, clones, lats, nil
+	for m := range clones {
+		clones[m] /= int64(iters)
+	}
+	return rows, clones, plans, lats, nil
 }
 
-func vecSummarize(lats []time.Duration, tableRows int, clones int64) VecMode {
+func vecSummarize(lats []time.Duration, tableRows int, clones int64, plan string) VecMode {
 	s := summarize(lats)
 	return VecMode{
 		QPS: s.QPS, P50: s.P50, P95: s.P95, P99: s.P99, Mean: s.Mean,
 		RowsPerSec:     s.QPS * float64(tableRows),
 		ClonesPerQuery: clones,
+		Plan:           plan,
 	}
 }
 
-// RunVecBench times each VEC query under three sessions over one shared
-// catalog — scalar (vectorization off), vectorized with interpreted
-// expressions, and vectorized with compiled expressions — verifying all
-// three return the same cardinality.
-func RunVecBench(cfg VecBenchConfig, scalar, vectorized, compiled Querier) (*VecBenchReport, error) {
+// RunVecBench times each VEC query under the four sessions, verifying all
+// return the same cardinality.
+func RunVecBench(cfg VecBenchConfig, sess VecSessions) (*VecBenchReport, error) {
 	cfg.defaults()
 	report := &VecBenchReport{
 		Rows:      cfg.Rows,
 		Cores:     runtime.NumCPU(),
 		BatchSize: algebra.DefaultBatchSize,
 		Iters:     cfg.Iters,
-		Note:      "batch-at-a-time execution amortizes iterator dispatch; compiled predicates drop the per-row AST walk; zero-clone shared segment reads kill copy traffic in both tiers",
+		Note:      "batch-at-a-time execution amortizes iterator dispatch; compiled predicates drop the per-row AST walk; zero-clone shared segment reads kill copy traffic in both tiers; the default session adds morsel-driven parallel columnar scans with per-segment partial aggregates, and keeps a bare COUNT(*) on the serial plan",
 	}
+	modes := []Querier{sess.Scalar, sess.Vectorized, sess.Compiled, sess.Default}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, q := range VecBenchQueries() {
-		sRows, sClones, sLat, err := vecTimeQuery(scalar, q.Q, cfg.Warmup, cfg.Iters)
+		rows, clones, plans, lats, err := vecTimeModes(modes, sess.Plan, q.Q, cfg.Warmup, cfg.Iters, rng)
 		if err != nil {
-			return nil, fmt.Errorf("workload: VEC %s scalar: %w", q.Name, err)
+			return nil, fmt.Errorf("workload: VEC %s: %w", q.Name, err)
 		}
-		vRows, vClones, vLat, err := vecTimeQuery(vectorized, q.Q, cfg.Warmup, cfg.Iters)
-		if err != nil {
-			return nil, fmt.Errorf("workload: VEC %s vectorized: %w", q.Name, err)
-		}
-		cRows, cClones, cLat, err := vecTimeQuery(compiled, q.Q, cfg.Warmup, cfg.Iters)
-		if err != nil {
-			return nil, fmt.Errorf("workload: VEC %s compiled: %w", q.Name, err)
-		}
-		if sRows != vRows || sRows != cRows {
-			return nil, fmt.Errorf("workload: VEC %s: cardinalities diverge: scalar %d, vectorized %d, compiled %d",
-				q.Name, sRows, vRows, cRows)
+		for m := range rows {
+			if rows[m] != rows[0] {
+				return nil, fmt.Errorf("workload: VEC %s: cardinalities diverge: %v (scalar, vectorized, compiled, default)", q.Name, rows)
+			}
 		}
 		c := VecBenchCase{
 			Name:       q.Name,
 			Query:      q.Q,
-			Rows:       sRows,
-			Scalar:     vecSummarize(sLat, cfg.Rows, sClones),
-			Vectorized: vecSummarize(vLat, cfg.Rows, vClones),
-			Compiled:   vecSummarize(cLat, cfg.Rows, cClones),
+			Rows:       rows[0],
+			Scalar:     vecSummarize(lats[0], cfg.Rows, clones[0], plans[0]),
+			Vectorized: vecSummarize(lats[1], cfg.Rows, clones[1], plans[1]),
+			Compiled:   vecSummarize(lats[2], cfg.Rows, clones[2], plans[2]),
+			Default:    vecSummarize(lats[3], cfg.Rows, clones[3], plans[3]),
 		}
 		if c.Scalar.QPS > 0 {
 			c.SpeedupVectorized = c.Vectorized.QPS / c.Scalar.QPS
 			c.SpeedupCompiled = c.Compiled.QPS / c.Scalar.QPS
+		}
+		if c.Compiled.QPS > 0 {
+			c.SpeedupDefault = c.Default.QPS / c.Compiled.QPS
 		}
 		report.Cases = append(report.Cases, c)
 	}
